@@ -58,7 +58,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		gen    Generator
 		budget float64
 	}{
-		// Measured on this feed: naive ≈5, mfs ≈14, ssg ≈35 (the SSG
+		// Measured on this feed: naive 6, mfs 15, ssg 36 (the SSG
 		// budget covers node structs and edge slices for states the graph
 		// genuinely creates each frame). Budgets leave ~2× headroom; the
 		// seed implementation sat in the hundreds.

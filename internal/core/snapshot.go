@@ -137,6 +137,9 @@ func decodeState(r *snapshot.Reader) *State {
 			s.frames.marks++
 		}
 	}
+	if len(s.frames.entries) > 0 {
+		s.frames.first = s.frames.entries[0].fid
+	}
 	s.hasExtra = r.Bool()
 	if s.hasExtra {
 		s.extra = decodeSet(r)
@@ -425,7 +428,12 @@ func (g *SSG) decode(r *snapshot.Reader) error {
 		g.rootOrder = append(g.rootOrder, n)
 	}
 	for _, i := range readEdges() {
-		g.principals = append(g.principals, nodes[i])
+		// Snapshots written before principals were deduplicated may list
+		// a node more than once; keep its first position.
+		if n := nodes[i]; !n.onPrincipalList {
+			n.onPrincipalList = true
+			g.principals = append(g.principals, n)
+		}
 	}
 	for _, i := range readEdges() {
 		g.results = append(g.results, nodes[i])

@@ -20,10 +20,12 @@ import (
 // intersection states without violating Property 2.
 //
 // Node lookup is by interned object-set handle (one hash of the id
-// stream plus an integer compare, no key strings), traversal
-// intersections go into a reusable scratch buffer, and dead states
-// return their storage to a pool, so steady-state maintenance performs
-// no allocations beyond genuine graph growth.
+// stream plus an integer compare, no key strings), and most traversal
+// steps skip even that through a node-local memo of the last target
+// (see resolve). Traversal intersections go into a reusable scratch
+// buffer, and dead states return their storage to a pool, so
+// steady-state maintenance performs no allocations beyond genuine graph
+// growth.
 type SSG struct {
 	cfg    Config
 	intern *objset.Interner
@@ -39,7 +41,8 @@ type SSG struct {
 
 	// principals lists nodes that are principal states (some window frame
 	// has exactly their object set), in arrival order; used by the State
-	// Marking Procedure rule 4.
+	// Marking Procedure rule 4. A node is listed at most once
+	// (ssgNode.onPrincipalList).
 	principals []*ssgNode
 
 	// results is the previous frame's result node set (§4.3.7);
@@ -92,9 +95,33 @@ type ssgNode struct {
 	// per-frame set.
 	resultMark vr.FrameID
 
-	onRootList bool
-	dead       bool
+	// memo is the node this node's intersection with an arriving frame
+	// last resolved to (never the node itself). Consecutive frames mostly
+	// share objects, so the next intersection usually equals memo's
+	// object set, and since there is exactly one live node per interned
+	// set, a live memo with an equal set is the node Interner.Lookup
+	// would return; see resolve. removeNode clears it so dead nodes
+	// cannot pin chains of other dead nodes.
+	memo *ssgNode
+
+	// resolved records what the intersection of the frame in visited
+	// resolved to, so a second visit in the same frame (a node reached
+	// from several parents) returns it without intersecting again.
+	resolved resolution
+
+	onRootList      bool
+	onPrincipalList bool
+	dead            bool
 }
+
+// resolution is the outcome of a node's first visit in a frame.
+type resolution uint8
+
+const (
+	resolvedNone resolution = iota // empty intersection, or a terminated state
+	resolvedSelf                   // the node's own set: it co-occurs in the frame
+	resolvedMemo                   // the node in memo
+)
 
 // NewSSG returns a Strict State Graph generator for the given window
 // parameters. It panics if cfg is invalid.
@@ -117,14 +144,6 @@ func (g *SSG) StateCount() int { return g.live }
 
 // Metrics returns work counters accumulated so far.
 func (g *SSG) Metrics() Metrics { return g.metrics }
-
-// node returns the live node with interned handle h, or nil.
-func (g *SSG) node(h objset.Handle) *ssgNode {
-	if int(h) < len(g.nodes) {
-		return g.nodes[h]
-	}
-	return nil
-}
 
 // setNode records n as the live node for handle h.
 func (g *SSG) setNode(h objset.Handle, n *ssgNode) {
@@ -222,15 +241,22 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, minFID vr.FrameID) *ssgNode {
 	}
 	if n.visited == f.FID {
 		// Already handled via another path this frame; the candidate for
-		// CNPS is still the intersection state, which must exist by now.
+		// CNPS is what that visit resolved to. Only a target that died
+		// since then (pruned from another root) sends us back to the
+		// interner.
+		switch {
+		case n.resolved == resolvedNone:
+			return nil
+		case n.resolved == resolvedSelf:
+			return n
+		case !n.memo.dead:
+			return n.memo
+		}
 		inter := n.state.Objects.IntersectInto(f.Objects, &g.buf)
 		if inter.IsEmpty() {
 			return nil
 		}
-		if h, ok := g.intern.Lookup(inter); ok {
-			return g.node(h)
-		}
-		return nil
+		return g.resolve(n, inter)
 	}
 	n.visited = f.FID
 	g.metrics.StatesVisited++
@@ -239,19 +265,17 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, minFID vr.FrameID) *ssgNode {
 	// Snapshot the children onto the shared scratch stack: visits of the
 	// subtree may re-home or remove entries of n.children, but the
 	// snapshot keeps this node's iteration stable without allocating.
+	// Every path that visits children truncates the stack back to base
+	// before returning.
 	base := len(g.stack)
 	g.stack = append(g.stack, n.children...)
-	count := len(g.stack) - base
-	defer func() { g.stack = g.stack[:base] }()
 
 	// pruneState (Algorithm 1 line 3): expire frames; an invalid node
 	// (no marked frames) or empty node leaves the graph immediately. Its
 	// former children may still intersect the arriving frame, so they
 	// are visited from here even though the node itself is gone.
 	if g.pruneNode(n, minFID) {
-		for i := 0; i < count; i++ {
-			g.visit(g.stack[base+i], f, minFID)
-		}
+		g.visitChildren(base, f, minFID)
 		return nil
 	}
 
@@ -261,19 +285,36 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, minFID vr.FrameID) *ssgNode {
 		// Every descendant has an object set ⊂ IDn, so every descendant
 		// intersection is empty too: skip the whole subtree. This is the
 		// SSG pruning step.
+		n.resolved = resolvedNone
+		g.stack = g.stack[:base]
 		return nil
 	}
 
 	target := g.applyIntersection(n, inter, f)
+	switch target {
+	case nil:
+		n.resolved = resolvedNone
+	case n:
+		n.resolved = resolvedSelf
+	default:
+		n.resolved = resolvedMemo // applyIntersection left target in n.memo
+	}
 
 	// Recurse into children (visitNext) via the snapshot. A target just
 	// attached under n needs no visit of its own (its bookkeeping
 	// happened at creation); any children it acquired were re-homed
 	// siblings already present in the snapshot.
-	for i := 0; i < count; i++ {
-		g.visit(g.stack[base+i], f, minFID)
-	}
+	g.visitChildren(base, f, minFID)
 	return target
+}
+
+// visitChildren visits the child snapshot pushed onto g.stack from base
+// to its top, then pops it. Each visit leaves the stack as it found it.
+func (g *SSG) visitChildren(base int, f vr.Frame, minFID vr.FrameID) {
+	for i, end := base, len(g.stack); i < end; i++ {
+		g.visit(g.stack[i], f, minFID)
+	}
+	g.stack = g.stack[:base]
 }
 
 // applyIntersection materializes the state for inter = IDn ∩ IDns and
@@ -282,15 +323,13 @@ func (g *SSG) visit(n *ssgNode, f vr.Frame, minFID vr.FrameID) *ssgNode {
 // inter may be scratch-backed; it is interned (copied) before being
 // retained.
 func (g *SSG) applyIntersection(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNode {
-	if inter.Equal(n.state.Objects) {
+	target := g.resolve(n, inter)
+	switch {
+	case target == n:
 		// Step 3: the node itself co-occurs in the arriving frame.
 		n.state.fold(f.FID, f.Objects)
 		return n
-	}
-
-	var target *ssgNode
-	if h, ok := g.intern.Lookup(inter); ok {
-		target = g.nodes[h]
+	case target != nil:
 		// Step 4.a: the state exists. A target created earlier in this
 		// same traversal has only seen its first parent, so it absorbs
 		// this parent's frames too; an older target is already exact
@@ -307,10 +346,33 @@ func (g *SSG) applyIntersection(n *ssgNode, inter objset.Set, f vr.Frame) *ssgNo
 		return nil
 	}
 	target = g.newNode(inter, f.FID)
+	n.memo = target
 	g.foldMissing(target, n)
 	target.state.fold(f.FID, f.Objects)
 	g.attachChild(n, target)
 	return target
+}
+
+// resolve returns the live node holding inter = IDn ∩ IDns, or nil when
+// there is none. inter ⊆ IDn, so equal lengths mean inter is n's own
+// set. Otherwise n's memo answers when it is live and holds inter:
+// there is one live node per interned set, so it is exactly the node
+// Interner.Lookup would find, without hashing inter or touching the
+// interner's slots. A miss falls back to the interner and refreshes the
+// memo.
+func (g *SSG) resolve(n *ssgNode, inter objset.Set) *ssgNode {
+	if inter.Len() == n.state.Objects.Len() {
+		return n
+	}
+	if m := n.memo; m != nil && !m.dead && m.state.Objects.Equal(inter) {
+		return m
+	}
+	h, ok := g.intern.Lookup(inter)
+	if !ok {
+		return nil
+	}
+	n.memo = g.nodes[h]
+	return n.memo
 }
 
 // foldMissing folds every frame of parent that target lacks. A frame
@@ -395,7 +457,11 @@ func (g *SSG) ensurePrincipal(f vr.Frame, minFID vr.FrameID) *ssgNode {
 	// its object set equals the state's, so fold marks it.
 	ns.state.fold(f.FID, f.Objects)
 	ns.createdBy = append(ns.createdBy, f.FID)
-	if wasPrincipal := len(ns.createdBy) > 1; !wasPrincipal {
+	// Test the flag, not len(createdBy) == 1: pruneNode may have emptied
+	// createdBy during this traversal while ns is still listed, and
+	// listing it twice would grow principals without bound.
+	if !ns.onPrincipalList {
+		ns.onPrincipalList = true
 		g.principals = append(g.principals, ns)
 	}
 	g.ensureRoot(ns)
@@ -476,6 +542,7 @@ func (g *SSG) removeNode(n *ssgNode) {
 		return
 	}
 	n.dead = true
+	n.memo = nil
 	g.metrics.StatesPruned++
 	g.nodes[n.handle] = nil
 	g.live--
@@ -543,6 +610,8 @@ func (g *SSG) refreshPrincipals(f vr.Frame, minFID vr.FrameID) {
 		}
 		if len(n.createdBy) > 0 {
 			out = append(out, n)
+		} else {
+			n.onPrincipalList = false
 		}
 	}
 	g.principals = out

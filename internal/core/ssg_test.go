@@ -14,7 +14,7 @@ import (
 // way the generator itself does.
 func lookupNode(g *SSG, s objset.Set) *ssgNode {
 	if h, ok := g.intern.Lookup(s); ok {
-		return g.node(h)
+		return g.nodes[h]
 	}
 	return nil
 }

@@ -68,8 +68,15 @@ type frameEntry struct {
 // frameList is a state's frame set: strictly increasing frame ids, each
 // optionally marked as a key frame. Frames are appended at the tail as the
 // feed advances and expired from the head as the window slides.
+//
+// first mirrors entries[0].fid whenever entries is non-empty (its value
+// is meaningless otherwise). Expiry runs on every visited state every
+// frame and almost always finds nothing to expire; the copy in the
+// struct answers that without loading the entries array, which for a
+// state that is only being checked is a cache miss of its own.
 type frameList struct {
 	entries []frameEntry
+	first   vr.FrameID
 	marks   int // number of marked entries
 }
 
@@ -83,6 +90,9 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 	n := len(fl.entries)
 	// Fast path: appending past the tail, the overwhelmingly common case.
 	if n == 0 || fl.entries[n-1].fid < fid {
+		if n == 0 {
+			fl.first = fid
+		}
 		fl.entries = append(fl.entries, frameEntry{fid: fid, marked: marked})
 		if marked {
 			fl.marks++
@@ -96,6 +106,9 @@ func (fl *frameList) insert(fid vr.FrameID, marked bool) bool {
 	fl.entries = append(fl.entries, frameEntry{})
 	copy(fl.entries[i+1:], fl.entries[i:])
 	fl.entries[i] = frameEntry{fid: fid, marked: marked}
+	if i == 0 {
+		fl.first = fid
+	}
 	if marked {
 		fl.marks++
 	}
@@ -113,6 +126,9 @@ func (fl *frameList) contains(fid vr.FrameID) bool {
 // the head away instead would leak capacity one window slide at a time
 // and force a steady trickle of reallocations on append.
 func (fl *frameList) expireBefore(min vr.FrameID) {
+	if len(fl.entries) == 0 || fl.first >= min {
+		return
+	}
 	i := 0
 	for i < len(fl.entries) && fl.entries[i].fid < min {
 		if fl.entries[i].marked {
@@ -120,9 +136,10 @@ func (fl *frameList) expireBefore(min vr.FrameID) {
 		}
 		i++
 	}
-	if i > 0 {
-		n := copy(fl.entries, fl.entries[i:])
-		fl.entries = fl.entries[:n]
+	n := copy(fl.entries, fl.entries[i:])
+	fl.entries = fl.entries[:n]
+	if n > 0 {
+		fl.first = fl.entries[0].fid
 	}
 }
 
@@ -229,6 +246,12 @@ type State struct {
 // a surviving blocker in every remaining frame and is invalid, which
 // makes pruning on mark-exhaustion safe (Theorem 4).
 func (s *State) fold(fid vr.FrameID, of objset.Set) {
+	if n := len(s.frames.entries); n > 0 && s.frames.entries[n-1].fid == fid {
+		// Re-fold of the newest frame (a state reached from several
+		// parents in one traversal): the insert below would find it
+		// present and change nothing, so skip the blocker test too.
+		return
+	}
 	var kills bool
 	if !s.hasExtra {
 		// Rest-closure is the universe: only a frame whose object set is

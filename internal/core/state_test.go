@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"tvq/internal/objset"
+	"tvq/internal/snapshot"
 	"tvq/internal/vr"
 )
 
@@ -54,6 +55,47 @@ func TestFrameListExpire(t *testing.T) {
 	}
 	// Expiring an empty list is a no-op.
 	fl.expireBefore(20)
+}
+
+// TestFrameListFirstMirrorsHead drives frame lists through random
+// sequences of tail and mid-list inserts, expiries, pool recycling and
+// snapshot round trips, and requires first == entries[0].fid whenever
+// the list is non-empty: expireBefore trusts first to skip lists with
+// nothing to expire.
+func TestFrameListFirstMirrorsHead(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var pool statePool
+	s := pool.get()
+	var lo vr.FrameID // everything below lo has been expired
+	for step := 0; step < 20000; step++ {
+		switch op := r.Intn(10); {
+		case op < 5:
+			s.frames.insert(lo+vr.FrameID(r.Intn(12)), r.Intn(2) == 0)
+		case op < 8:
+			lo += vr.FrameID(r.Intn(4))
+			s.frames.expireBefore(lo)
+		case op < 9:
+			pool.put(s)
+			s = pool.get()
+		default:
+			var w snapshot.Writer
+			s.Objects = objset.New(1)
+			encodeState(&w, s)
+			rd := snapshot.NewReader(w.Bytes())
+			s = decodeState(rd)
+			if err := rd.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e := s.frames.entries; len(e) > 0 && s.frames.first != e[0].fid {
+			t.Fatalf("step %d: first = %d, entries start at %d (%s)", step, s.frames.first, e[0].fid, s.frames.String())
+		}
+		for _, e := range s.frames.entries {
+			if e.fid < lo {
+				t.Fatalf("step %d: fid %d survived expiry before %d", step, e.fid, lo)
+			}
+		}
+	}
 }
 
 func TestFrameListHashDistinguishesSets(t *testing.T) {
@@ -160,6 +202,10 @@ func TestFoldMarksFramesEqualToObjects(t *testing.T) {
 	}
 }
 
+// TestFoldDuplicateFrameIsNoop folds a present frame again, including
+// the newest one with object sets that would mark it or shrink the
+// blockers if fold looked at them, and requires marks, blockers and
+// hasExtra to stay as they were.
 func TestFoldDuplicateFrameIsNoop(t *testing.T) {
 	s := &State{Objects: objset.New(1)}
 	s.fold(0, objset.New(1, 2))
@@ -167,6 +213,33 @@ func TestFoldDuplicateFrameIsNoop(t *testing.T) {
 	s.fold(0, objset.New(1, 2))
 	if s.FrameCount() != 1 || !s.extra.Equal(extra) {
 		t.Error("duplicate fold changed state")
+	}
+
+	s = &State{Objects: objset.New(1)}
+	s.fold(0, objset.New(1, 2, 3))
+	s.fold(1, objset.New(1, 2, 4))
+	marks, extra, entries := s.frames.marks, s.extra.Clone(), s.frames.String()
+	for _, of := range []objset.Set{objset.New(1), objset.New(1, 5), objset.New(1, 2, 4)} {
+		s.fold(1, of)
+		if s.frames.marks != marks || !s.extra.Equal(extra) || !s.hasExtra || s.frames.String() != entries {
+			t.Fatalf("re-fold of fid 1 with %v changed the state: marks %d→%d, extra %v→%v, frames %s→%s",
+				of, marks, s.frames.marks, extra, s.extra, entries, s.frames.String())
+		}
+	}
+
+	// Before any blockers exist: a re-fold with an exact object set must
+	// not mark an unmarked frame, nor a wider one unmark a marked frame.
+	u := &State{Objects: objset.New(1)}
+	u.fold(0, objset.New(1, 2))
+	u.fold(0, objset.New(1))
+	if u.frames.marks != 0 || !u.hasExtra || !u.extra.Equal(objset.New(2)) {
+		t.Fatalf("re-fold of fid 0 changed the state: %s extra %v", u, u.extra)
+	}
+	v := &State{Objects: objset.New(1)}
+	v.fold(0, objset.New(1))
+	v.fold(0, objset.New(1, 2))
+	if v.frames.marks != 1 || v.hasExtra {
+		t.Fatalf("re-fold of marked fid 0 changed the state: %s hasExtra %v", v, v.hasExtra)
 	}
 }
 
