@@ -159,7 +159,7 @@ func run(c cfg) error {
 		log.Printf("session %q opened with %d boot queries", c.session, n)
 	}
 
-	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(c.addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("tvqd serving on %s", c.addr)
@@ -191,6 +191,20 @@ func run(c cfg) error {
 	}
 	log.Printf("tvqd stopped cleanly")
 	return nil
+}
+
+// newHTTPServer builds the listener's server. Header reads and idle
+// keep-alive connections are bounded, so a client that opens connections
+// and trickles (or never sends) request headers cannot hold them open
+// indefinitely. WriteTimeout stays unset: match streams are long-lived
+// responses, and a write deadline would cut them off.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // parseQueries turns the -q flags into query parameters; "text @ w:d"

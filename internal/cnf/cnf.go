@@ -3,11 +3,12 @@
 // conditions of the form `class θ n` with θ ∈ {≤, =, ≥} (§2), evaluated
 // against the per-class object counts of an MCOS.
 //
-// Two evaluators are provided. Eval is the inverted-index CNF algorithm of
-// Whang et al. [24] for set-membership predicates (§5.1). EvalE extends it
-// with ordered indexes for the inequality predicates the paper's queries
-// need (§5.2): one index per comparison operator, with posting lists
-// scanned in value order so only qualifying conditions are touched.
+// EvalE is the paper's CNFEvalE (§5.2): the inverted-index CNF algorithm
+// of Whang et al. [24] (§5.1) extended with ordered indexes for the
+// inequality predicates the paper's queries need — one index per
+// comparison operator, with posting lists scanned in value order so only
+// qualifying conditions are touched. Production evaluation runs on the
+// shared plan of package query; EvalE is kept as its reference oracle.
 package cnf
 
 import (

@@ -168,119 +168,6 @@ func TestEvalDirect(t *testing.T) {
 	}
 }
 
-// TestPaperTable3 reproduces the CNFEval inverted index of Table 3 for
-// q1 = age ∈ {2,3} ∧ (state ∈ {CA} ∨ gender ∈ {F}).
-func TestPaperTable3(t *testing.T) {
-	q1 := SetQuery{
-		ID: 1,
-		Clauses: [][]SetCondition{
-			{{Name: "age", Values: []string{"2", "3"}}},
-			{{Name: "state", Values: []string{"CA"}}, {Name: "gender", Values: []string{"F"}}},
-		},
-	}
-	e, err := NewEval(q1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPostings := map[string]Posting{
-		"age\x002":    {QID: 1, In: true, DisjID: 0},
-		"age\x003":    {QID: 1, In: true, DisjID: 0},
-		"state\x00CA": {QID: 1, In: true, DisjID: 1},
-		"gender\x00F": {QID: 1, In: true, DisjID: 1},
-	}
-	for key, want := range wantPostings {
-		parts := strings.SplitN(key, "\x00", 2)
-		got := e.Postings(parts[0], parts[1])
-		if len(got) != 1 || got[0] != want {
-			t.Errorf("Postings(%s,%s) = %v, want %v", parts[0], parts[1], got, want)
-		}
-	}
-
-	// The paper's example input {(age,3), (gender,F)} satisfies q1.
-	if got := e.Matches(map[string]string{"age": "3", "gender": "F"}); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("Matches = %v, want [1]", got)
-	}
-	if got := e.Matches(map[string]string{"age": "9", "gender": "F"}); len(got) != 0 {
-		t.Errorf("Matches = %v, want none", got)
-	}
-	if got := e.Matches(map[string]string{"age": "2"}); len(got) != 0 {
-		t.Errorf("Matches = %v, want none (second clause unsatisfied)", got)
-	}
-}
-
-func TestEvalNegatedConditions(t *testing.T) {
-	query := SetQuery{
-		ID: 7,
-		Clauses: [][]SetCondition{
-			{{Name: "state", Negated: true, Values: []string{"NY"}}},
-			{{Name: "age", Values: []string{"2"}}},
-		},
-	}
-	e, err := NewEval(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Matches(map[string]string{"age": "2", "state": "CA"}); !reflect.DeepEqual(got, []int{7}) {
-		t.Errorf("Matches = %v, want [7]", got)
-	}
-	if got := e.Matches(map[string]string{"age": "2", "state": "NY"}); len(got) != 0 {
-		t.Errorf("Matches = %v, want none (∉ violated)", got)
-	}
-	// Absent attribute satisfies ∉.
-	if got := e.Matches(map[string]string{"age": "2"}); !reflect.DeepEqual(got, []int{7}) {
-		t.Errorf("Matches = %v, want [7]", got)
-	}
-}
-
-func TestEvalAddRemove(t *testing.T) {
-	e, err := NewEval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	qa := SetQuery{ID: 1, Clauses: [][]SetCondition{{{Name: "a", Values: []string{"x"}}}}}
-	qb := SetQuery{ID: 2, Clauses: [][]SetCondition{{{Name: "a", Values: []string{"x"}}}}}
-	if err := e.Add(qa); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Add(qb); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Add(qa); err == nil {
-		t.Error("duplicate id accepted")
-	}
-	if got := e.Matches(map[string]string{"a": "x"}); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("Matches = %v", got)
-	}
-	if !e.Remove(1) {
-		t.Error("Remove(1) = false")
-	}
-	if e.Remove(1) {
-		t.Error("second Remove(1) = true")
-	}
-	if got := e.Matches(map[string]string{"a": "x"}); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("after remove Matches = %v", got)
-	}
-	if e.Len() != 1 {
-		t.Errorf("Len = %d", e.Len())
-	}
-}
-
-func TestEvalRejectsMalformed(t *testing.T) {
-	if _, err := NewEval(SetQuery{ID: 1, Clauses: [][]SetCondition{{}}}); err == nil {
-		t.Error("empty clause accepted")
-	}
-	if _, err := NewEval(SetQuery{ID: 1, Clauses: [][]SetCondition{{{Name: "a"}}}}); err == nil {
-		t.Error("empty value set accepted")
-	}
-	big := SetQuery{ID: 1}
-	for i := 0; i < 65; i++ {
-		big.Clauses = append(big.Clauses, []SetCondition{{Name: "a", Values: []string{"x"}}})
-	}
-	if _, err := NewEval(big); err == nil {
-		t.Error("65-clause query accepted")
-	}
-}
-
 // TestPaperTables4And5 reproduces the CNFEvalE indexes of Tables 4 and 5
 // for q2 = (car ≥ 2 ∨ person ≤ 3) ∧ (car ≥ 3 ∨ person ≥ 2) ∧ (car ≤ 5).
 func TestPaperTables4And5(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tvq/internal/cnf"
+	"tvq/internal/core"
 	"tvq/internal/objset"
 	"tvq/internal/vr"
 )
@@ -52,6 +53,7 @@ type plan struct {
 	subs     []subscriber
 	slotFree []int
 	slotOf   map[int]int // query id → slot
+	order    []int       // live slots, ascending by query id
 
 	// Evaluation scratch, epoch-stamped so no per-state clearing; its
 	// reuse is one reason the evaluator is not safe for concurrent use.
@@ -60,6 +62,14 @@ type plan struct {
 	bodyStamp   []uint64
 	bodyCount   []uint32
 	matchedBuf  []uint32
+
+	// Emission scratch, reused across EvaluateStates calls: the hits of
+	// one call, per-slot hit counts (zero between calls), and the sorted
+	// copy of out-of-order input (cleared after each call so it pins no
+	// states).
+	hits      []hit
+	slotCount []int
+	sorted    []*core.State
 
 	// Patch scratch, reused across add calls.
 	condBuf   []cnf.Condition
@@ -93,6 +103,10 @@ type bodyNode struct {
 	refs    int32    // subscribers sharing this body
 	subs    []uint64 // subscriber-slot bitmask
 }
+
+// hit is one match before placement: a subscriber slot and the index
+// of the matching state in object-set order.
+type hit struct{ slot, state uint32 }
 
 type subscriber struct {
 	qid      int
@@ -166,6 +180,7 @@ func (p *plan) add(q cnf.Query) {
 	slot := p.allocSlot()
 	p.subs[slot] = subscriber{qid: q.ID, duration: q.Duration, body: bid}
 	p.slotOf[q.ID] = slot
+	p.order = slices.Insert(p.order, p.orderPos(q.ID), slot)
 	p.setSub(bid, slot)
 	p.gen++
 }
@@ -181,6 +196,8 @@ func (p *plan) remove(qid int) bool {
 		return false
 	}
 	delete(p.slotOf, qid)
+	i := p.orderPos(qid)
+	p.order = slices.Delete(p.order, i, i+1)
 	sub := p.subs[slot]
 	p.subs[slot] = subscriber{}
 	p.slotFree = append(p.slotFree, slot)
@@ -194,6 +211,21 @@ func (p *plan) remove(qid int) bool {
 	}
 	p.gen++
 	return true
+}
+
+// orderPos returns the index of qid in order, or the index at which it
+// would be inserted.
+func (p *plan) orderPos(qid int) int {
+	lo, hi := 0, len(p.order)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p.subs[p.order[m]].qid < qid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 func (p *plan) allocSlot() int {
@@ -496,14 +528,77 @@ func (p *plan) growScratch() {
 	}
 }
 
-// forEachSub calls fn for every subscriber of the body, walking the set
-// bits of its fan-out mask word-parallel.
-func (p *plan) forEachSub(bid uint32, fn func(sub *subscriber)) {
-	for wi, word := range p.bodies[bid].subs {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			fn(&p.subs[wi*64+bit])
+// inOrder returns states in strictly increasing objset.Compare order.
+// Generators emit them so, which one linear pass confirms; other input
+// is copied into plan scratch and sorted there, stably, so repeated
+// object sets keep their input order.
+func (p *plan) inOrder(states []*core.State) []*core.State {
+	for i := 1; i < len(states); i++ {
+		if objset.Compare(states[i-1].Objects, states[i].Objects) >= 0 {
+			p.sorted = append(p.sorted[:0], states...)
+			slices.SortStableFunc(p.sorted, func(a, b *core.State) int {
+				return objset.Compare(a.Objects, b.Objects)
+			})
+			return p.sorted
 		}
 	}
+	return states
+}
+
+// collectHits evaluates every state and records, in state order, one
+// hit per subscriber of each satisfied body whose own duration the
+// state meets, counting the hits of each slot.
+func (p *plan) collectHits(states []*core.State, nclasses int, classOf func(objset.ID) vr.Class) {
+	for len(p.slotCount) < len(p.subs) {
+		p.slotCount = append(p.slotCount, 0)
+	}
+	p.hits = p.hits[:0]
+	for i, s := range states {
+		agg := s.Aggregate(nclasses, classOf)
+		frameCount := s.FrameCount()
+		for _, bid := range p.satisfied(agg, s.Objects) {
+			for wi, word := range p.bodies[bid].subs {
+				for word != 0 {
+					bit := bits.TrailingZeros64(word)
+					word &^= 1 << uint(bit)
+					slot := wi*64 + bit
+					if frameCount < p.subs[slot].duration {
+						continue
+					}
+					p.hits = append(p.hits, hit{slot: uint32(slot), state: uint32(i)})
+					p.slotCount[slot]++
+				}
+			}
+		}
+	}
+}
+
+// place lays the collected hits out by query id: each live slot, taken
+// in query id order, owns a run as long as its hit count, and the hits
+// fill their slot's run front to back. Hits were recorded in state
+// order, so each query's run stays in object-set order; with one state
+// per object set and one slot per query id no two matches tie, so this
+// is exactly the (query id, object set) order a comparison sort would
+// give. It returns nil when there are no hits and leaves slotCount
+// zeroed.
+func (p *plan) place(states []*core.State) []Match {
+	if len(p.hits) == 0 {
+		return nil
+	}
+	off := 0
+	for _, slot := range p.order {
+		n := p.slotCount[slot]
+		p.slotCount[slot] = off
+		off += n
+	}
+	out := make([]Match, len(p.hits))
+	for _, h := range p.hits {
+		s := states[h.state]
+		out[p.slotCount[h.slot]] = Match{QueryID: p.subs[h.slot].qid, Objects: s.Objects, Frames: s.Frames()}
+		p.slotCount[h.slot]++
+	}
+	for _, slot := range p.order {
+		p.slotCount[slot] = 0
+	}
+	return out
 }

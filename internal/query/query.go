@@ -15,7 +15,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"tvq/internal/cnf"
 	"tvq/internal/core"
@@ -160,36 +159,26 @@ func (e *Evaluator) Classes() map[vr.Class]bool {
 }
 
 // EvaluateStates runs the shared plan against a result state set and
-// returns all matches, sorted by (query id, object set) for determinism
-// (§5.2 step 2). Each state's per-class counts drive one pass over the
-// distinct predicates; satisfied bodies fan out to their subscribers,
-// each re-checking its own duration (the generator push-down used the
-// group's minimum).
+// returns all matches ordered by (query id, object set) (§5.2 step 2).
+// Each state's per-class counts drive one pass over the distinct
+// predicates; satisfied bodies fan out to their subscribers, each
+// re-checking its own duration (the generator push-down used the
+// group's minimum). The order comes from placement, not a comparison
+// sort: states are taken in object-set order (as generators emit them;
+// other input is sorted first) and each match goes to its query's run
+// of a layout ordered by query id. Every match's Frames is a fresh
+// slice the caller owns.
 func (e *Evaluator) EvaluateStates(states []*core.State, classOf func(objset.ID) vr.Class) []Match {
 	if len(e.queries) == 0 || len(states) == 0 {
 		return nil
 	}
-	e.p.refreshLabels()
-	nclasses := e.reg.Len()
-	var out []Match
-	for _, s := range states {
-		agg := s.Aggregate(nclasses, classOf)
-		frameCount := s.FrameCount()
-		for _, bid := range e.p.satisfied(agg, s.Objects) {
-			e.p.forEachSub(bid, func(sub *subscriber) {
-				if frameCount < sub.duration {
-					return
-				}
-				out = append(out, Match{QueryID: sub.qid, Objects: s.Objects, Frames: s.Frames()})
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].QueryID != out[j].QueryID {
-			return out[i].QueryID < out[j].QueryID
-		}
-		return objset.Compare(out[i].Objects, out[j].Objects) < 0
-	})
+	p := e.p
+	states = p.inOrder(states)
+	p.refreshLabels()
+	p.collectHits(states, e.reg.Len(), classOf)
+	out := p.place(states)
+	clear(p.sorted)
+	p.sorted = p.sorted[:0]
 	return out
 }
 

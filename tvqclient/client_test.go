@@ -332,3 +332,36 @@ func TestClientCursorStall(t *testing.T) {
 		t.Fatalf("regressing ingest error = %v, want ErrCursorStalled", err)
 	}
 }
+
+// TestStreamCancelMidLine pins that a consumer cancelling its context
+// while a delivery line is half-received ends the stream quietly: the
+// truncated tail the torn-down connection leaves behind is the requested
+// end, not a decode failure.
+func TestStreamCancelMidLine(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"feed":0,"fid":1,"query":1,"objects":[1],"frames":[0,1]}`+"\n")
+		fmt.Fprint(w, `{"feed":0,"fid":2,"query":1,"objects":[1],"frames":[0,`)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var got int
+	for d, err := range tvqclient.New(ts.URL).Stream(ctx, 1) {
+		if err != nil {
+			t.Fatalf("stream yielded %v after a requested cancel", err)
+		}
+		if got++; got == 1 {
+			if d.FID != 1 {
+				t.Fatalf("first delivery = %+v", d)
+			}
+			// Let the half line reach the client's reader before the cancel.
+			time.AfterFunc(50*time.Millisecond, cancel)
+		}
+	}
+	if got != 1 {
+		t.Fatalf("stream yielded %d deliveries, want 1", got)
+	}
+}

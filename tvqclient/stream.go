@@ -86,7 +86,12 @@ func (c *Client) stream(ctx context.Context, queryID int, format string) iter.Se
 			}
 			d, err := decodeDelivery(line)
 			if err != nil {
-				yield(tvq.Delivery{}, err)
+				// A cancel mid-line hands the scanner the truncated
+				// tail as a final line; like the read error below,
+				// that is a requested end.
+				if ctx.Err() == nil {
+					yield(tvq.Delivery{}, err)
+				}
 				return
 			}
 			if !yield(d, nil) {
