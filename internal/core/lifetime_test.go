@@ -64,7 +64,10 @@ func TestProcessInputBufferReuse(t *testing.T) {
 // consumers rely on it across call boundaries: the object sets and frame
 // slices reachable from a result snapshot (what query.Match retains)
 // must keep their values as later frames are processed, states die, and
-// interned handles are recycled.
+// interned handles are recycled. Like query evaluation, the snapshot
+// holds one exact AppendFrames copy per state shared by two holders,
+// and each holder appends to its slice: with len == cap the appends
+// reallocate and must not show through the other holder.
 func TestResultsSurviveLaterFrames(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	cfg := Config{Window: 5, Duration: 2}
@@ -84,23 +87,31 @@ func TestResultsSurviveLaterFrames(t *testing.T) {
 			s := snap{fid: f.FID}
 			for _, st := range states {
 				// Copy exactly what query.Match copies: the Set value and
-				// a fresh frame-id slice.
-				s.objects = append(s.objects, st.Objects)
-				s.frames = append(s.frames, st.Frames())
+				// one exact frame-id copy, here shared by two holders.
+				fr := st.AppendFrames(make([]vr.FrameID, 0, st.FrameCount()), 0)
+				s.objects = append(s.objects, st.Objects, st.Objects)
+				s.frames = append(s.frames, fr, fr)
 			}
 			for i := range s.objects {
 				s.render = append(s.render, fmt.Sprintf("%s=%v", s.objects[i], s.frames[i]))
 			}
 			sort.Strings(s.render)
+			for i := range s.frames {
+				s.frames[i] = append(s.frames[i], -vr.FrameID(i)-1)
+			}
 			snaps = append(snaps, s)
 		}
 		// Re-render every snapshot after the whole feed: the Set values
 		// and slices must not have been mutated behind the consumer's
-		// back by state recycling or interner churn.
+		// back by state recycling, interner churn or the other holder.
 		for _, s := range snaps {
 			var again []string
 			for i := range s.objects {
-				again = append(again, fmt.Sprintf("%s=%v", s.objects[i], s.frames[i]))
+				fr := s.frames[i]
+				if fr[len(fr)-1] != -vr.FrameID(i)-1 {
+					t.Fatalf("%s: frame %d holder %d: appended id overwritten: %v", name, s.fid, i, fr)
+				}
+				again = append(again, fmt.Sprintf("%s=%v", s.objects[i], fr[:len(fr)-1]))
 			}
 			sort.Strings(again)
 			if fmt.Sprint(again) != fmt.Sprint(s.render) {

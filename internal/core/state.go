@@ -145,17 +145,27 @@ func (fl *frameList) expireBefore(min vr.FrameID) {
 
 // fids returns the frame ids as a fresh slice.
 func (fl *frameList) fids() []vr.FrameID {
-	out := make([]vr.FrameID, len(fl.entries))
-	for i, e := range fl.entries {
-		out[i] = e.fid
-	}
-	return out
+	return fl.appendFids(make([]vr.FrameID, 0, len(fl.entries)), 0)
 }
 
-// hash returns a 64-bit FNV-1a hash of the exact frame set, used by the
-// emission-time maximality filter to group states with identical frame
-// sets without building key strings. Marks are excluded: grouping is by
-// frame set alone.
+// appendFids appends the frame ids, each plus offset, to dst. When dst
+// already has room for them it allocates nothing.
+func (fl *frameList) appendFids(dst []vr.FrameID, offset vr.FrameID) []vr.FrameID {
+	n := len(dst)
+	dst = slices.Grow(dst, len(fl.entries))[:n+len(fl.entries)]
+	for i, e := range fl.entries {
+		dst[n+i] = e.fid + offset
+	}
+	return dst
+}
+
+// hash returns a 64-bit FNV-1a-style hash of the exact frame set, used
+// by the emission-time maximality filter to group states with identical
+// frame sets without building key strings. Each frame id is mixed in
+// one xor-multiply step over its whole 64-bit word, which is enough:
+// the hash only picks a group candidate (sameFrames decides equality,
+// and the map re-hashes its key), and it is never persisted. Marks are
+// excluded: grouping is by frame set alone.
 func (fl *frameList) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -163,10 +173,7 @@ func (fl *frameList) hash() uint64 {
 	)
 	h := uint64(offset64)
 	for _, e := range fl.entries {
-		f := e.fid
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ uint64(byte(f>>shift))) * prime64
-		}
+		h = (h ^ uint64(e.fid)) * prime64
 	}
 	return h
 }
@@ -286,6 +293,14 @@ func (s *State) FrameCount() int { return s.frames.len() }
 // Frames returns the frame ids of the state's frame set, oldest first.
 // The slice is freshly allocated.
 func (s *State) Frames() []vr.FrameID { return s.frames.fids() }
+
+// AppendFrames appends the frame ids of the state's frame set, oldest
+// first and each plus offset, to dst and returns the extended slice.
+// Given room for FrameCount more ids it allocates nothing, so a caller
+// can size one exact copy and share it.
+func (s *State) AppendFrames(dst []vr.FrameID, offset vr.FrameID) []vr.FrameID {
+	return s.frames.appendFids(dst, offset)
+}
 
 // MarkedFrames returns the marked (key) frames, oldest first.
 func (s *State) MarkedFrames() []vr.FrameID {

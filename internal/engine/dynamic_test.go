@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tvq/internal/cnf"
@@ -196,6 +197,65 @@ func TestAddQueryLoosensDuration(t *testing.T) {
 	}
 	if !matched {
 		t.Fatal("loose-duration query never matched after group restart")
+	}
+}
+
+// TestAddQueryRestartShiftsSharedFramesOnce pins the start offset of a
+// restarted window group against the Frames sharing of evaluation: the
+// matches of one state share one Frames copy, so the offset must go
+// into that copy once, not be added per match. Two queries match the
+// same states here; a per-match shift would move their frames by twice
+// the group's start.
+func TestAddQueryRestartShiftsSharedFramesOnce(t *testing.T) {
+	q1 := mkQuery(t, 1, "person >= 1", 10, 8)
+	q2 := mkQuery(t, 2, "car >= 1", 10, 2)
+	eng, err := New([]cnf.Query{q1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := steadyFeed(30)
+	const start = 10
+	for _, f := range feed[:start] {
+		eng.ProcessFrame(f)
+	}
+	// d=2 < push-down 8 and car is filtered out: the group restarts.
+	if err := eng.AddQuery(q2); err != nil {
+		t.Fatal(err)
+	}
+	// The restarted group equals a fresh engine fed the suffix from
+	// frame 0, with every reported frame id moved up by start.
+	fresh, err := New([]cnf.Query{q1, q2}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, f := range feed[start:] {
+		got := eng.ProcessFrame(f)
+		rf := f
+		rf.FID -= start
+		var want []string
+		for _, m := range fresh.ProcessFrame(rf) {
+			fr := slices.Clone(m.Frames)
+			for i := range fr {
+				fr[i] += start
+			}
+			m.Frames = fr
+			want = append(want, matchKey(m))
+		}
+		var keys []string
+		perState := make(map[string]int)
+		for _, m := range got {
+			keys = append(keys, matchKey(m))
+			if perState[m.Objects.String()]++; perState[m.Objects.String()] == 2 {
+				shared++
+			}
+		}
+		if !reflect.DeepEqual(keys, want) {
+			t.Fatalf("frame %d: restarted group reports\n%v\nwant\n%v", f.FID, keys, want)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no state matched both queries; the test cannot see a double shift")
 	}
 }
 

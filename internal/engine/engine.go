@@ -260,16 +260,15 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 		}
 		// states is only valid until the group's next Process call
 		// (generators reuse emission buffers and recycle dead states);
-		// EvaluateStates copies everything a Match retains, which is what
+		// evaluation copies everything a Match retains, which is what
 		// makes the returned matches durable past this call (see the
-		// ownership notes on core.Generator).
+		// ownership notes on core.Generator). The group's start offset
+		// is applied inside that copy, which the matches of one state
+		// share, so it must not be applied again per match.
 		states := g.gen.Process(gf)
 		var matches []query.Match
 		if e.opts.Windows != Tumbling || (gf.FID+1)%vr.FrameID(g.window) == 0 {
-			matches = g.eval.EvaluateStates(states, e.classOf)
-			for i := range matches {
-				shiftFrames(matches[i].Frames, g.startFID())
-			}
+			matches = g.eval.EvaluateStatesFrom(states, e.classOf, g.startFID())
 		}
 		if e.opts.Observe != nil {
 			e.opts.Observe(ProcessStat{
@@ -279,7 +278,13 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 				Elapsed: time.Since(began),
 			})
 		}
-		out = append(out, matches...)
+		if out == nil {
+			// Usually one group matches: hand its exactly sized slice
+			// on as is rather than copying every Match into a new one.
+			out = matches
+		} else {
+			out = append(out, matches...)
+		}
 	}
 	return out
 }
@@ -288,15 +293,6 @@ func (e *Engine) ProcessFrame(f vr.Frame) []query.Match {
 // (non-zero for groups added dynamically); generators number frames from
 // zero internally.
 func (g *group) startFID() vr.FrameID { return g.start }
-
-func shiftFrames(frames []vr.FrameID, delta vr.FrameID) {
-	if delta == 0 {
-		return
-	}
-	for i := range frames {
-		frames[i] += delta
-	}
-}
 
 // filterSet keeps only ids whose class is in keep. It reports whether
 // the result is a fresh allocation (some id was dropped) rather than

@@ -130,6 +130,32 @@ func (h *emitHarness) check(t testing.TB, form string, states []*core.State) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s states, queries %v:\n got %+v\nwant %+v", form, h.live, got, want)
 	}
+	checkSharing(t, form, got)
+}
+
+// checkSharing asserts the Frames contract of one call's matches: every
+// Frames slice has len == cap, so an append to it reallocates, and the
+// matches of one state (one object set) hold the same single copy.
+// Content is checked against each state's Frames() by the caller.
+func checkSharing(t testing.TB, form string, got []Match) {
+	t.Helper()
+	copyOf := make(map[string]*vr.FrameID)
+	for i, m := range got {
+		if len(m.Frames) != cap(m.Frames) {
+			t.Fatalf("%s: match %d (query %d, %v): len(Frames) %d != cap %d",
+				form, i, m.QueryID, m.Objects, len(m.Frames), cap(m.Frames))
+		}
+		if len(m.Frames) == 0 {
+			continue
+		}
+		key := m.Objects.String()
+		if p, ok := copyOf[key]; !ok {
+			copyOf[key] = &m.Frames[0]
+		} else if p != &m.Frames[0] {
+			t.Fatalf("%s: match %d (query %d, %v) holds its own Frames copy, not its state's shared one",
+				form, i, m.QueryID, m.Objects)
+		}
+	}
 }
 
 // byteSource draws bounded values from a byte string, yielding zeros once
@@ -259,15 +285,11 @@ func FuzzEvaluateStates(f *testing.F) {
 	})
 }
 
-// TestEvaluateStatesAllocs pins the allocation profile of a warm
-// evaluation: exactly the result slice plus one Frames slice per match,
-// for generator-ordered and for shuffled input alike. The comparison
-// sort this replaced cost 29 allocations for these 20 matches: the 20
-// Frames slices, six regrowths of the appended result, and three for
-// sort.Slice (its reflective swapper and the boxed less closure).
-func TestEvaluateStatesAllocs(t *testing.T) {
-	reg := vr.StandardRegistry()
-	ev, err := NewEvaluator(reg, []cnf.Query{
+// sharedStateFixture is an evaluation with several queries per state:
+// four queries, two of which share a body, over an MFS result set.
+func sharedStateFixture(t *testing.T) (*Evaluator, []*core.State) {
+	t.Helper()
+	ev, err := NewEvaluator(vr.StandardRegistry(), []cnf.Query{
 		mkQuery(t, 9, "car >= 1", 4, 1),
 		mkQuery(t, 3, "(person >= 1 OR car >= 2)", 4, 2),
 		mkQuery(t, 5, "car >= 1", 4, 3), // shares query 9's body
@@ -282,20 +304,111 @@ func TestEvaluateStatesAllocs(t *testing.T) {
 		objset.New(1, 2, 3),
 		objset.New(2, 4, 5, 6),
 	}, 4, 1)
+	return ev, states
+}
+
+// distinctStates counts the object sets — states — among matches.
+func distinctStates(ms []Match) int {
+	seen := make(map[string]bool)
+	for _, m := range ms {
+		seen[m.Objects.String()] = true
+	}
+	return len(seen)
+}
+
+// cloneMatches deep-copies matches, so later comparisons see any write
+// through a shared Frames slice.
+func cloneMatches(ms []Match) []Match {
+	out := slices.Clone(ms)
+	for i := range out {
+		out[i].Frames = slices.Clone(out[i].Frames)
+	}
+	return out
+}
+
+// TestEvaluateStatesSharesFramesPerState pins the sharing contract of
+// Match.Frames: matches of one state in one call share one copy of the
+// state's frames (shifted by the start offset, if any), appending to
+// one match's Frames never shows through another's, and the matches of
+// one call stay intact through later calls.
+func TestEvaluateStatesSharesFramesPerState(t *testing.T) {
+	ev, states := sharedStateFixture(t)
+	for _, start := range []vr.FrameID{0, 100} {
+		got := ev.EvaluateStatesFrom(states, classOf, start)
+		if distinctStates(got) >= len(got) {
+			t.Fatalf("start %d: %d matches over %d states; the fixture must match some state twice",
+				start, len(got), distinctStates(got))
+		}
+		checkSharing(t, "fixture", got)
+		byObjects := make(map[string][]vr.FrameID)
+		for _, s := range states {
+			fr := s.Frames()
+			for i := range fr {
+				fr[i] += start
+			}
+			byObjects[s.Objects.String()] = fr
+		}
+		for _, m := range got {
+			if want := byObjects[m.Objects.String()]; !slices.Equal(m.Frames, want) {
+				t.Fatalf("start %d: query %d on %v: Frames %v, want %v", start, m.QueryID, m.Objects, m.Frames, want)
+			}
+		}
+
+		// Append to every pair of matches of one state, in both orders:
+		// each append must keep its own element, and no match may change.
+		held := cloneMatches(got)
+		for i := range got {
+			for j := range got {
+				if i == j || !got[i].Objects.Equal(got[j].Objects) {
+					continue
+				}
+				n := len(got[i].Frames)
+				a := append(got[i].Frames, -1)
+				b := append(got[j].Frames, -2)
+				if a[n] != -1 || b[n] != -2 {
+					t.Fatalf("start %d: appends to matches %d and %d of one state wrote one array: %v, %v", start, i, j, a, b)
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, held) {
+			t.Fatalf("start %d: appending to Frames changed other matches:\n got %+v\nwant %+v", start, got, held)
+		}
+
+		// Later calls, shuffled input included, must not touch them.
+		shuffled := slices.Clone(states)
+		slices.Reverse(shuffled)
+		for range 3 {
+			ev.EvaluateStates(states, classOf)
+			ev.EvaluateStatesFrom(shuffled, classOf, start+1)
+		}
+		if !reflect.DeepEqual(got, held) {
+			t.Fatalf("start %d: matches changed after later calls:\n got %+v\nwant %+v", start, got, held)
+		}
+	}
+}
+
+// TestEvaluateStatesAllocs pins the allocation profile of a warm
+// evaluation: exactly the result slice plus one Frames slice per
+// distinct matched state, which all of its matches share, for
+// generator-ordered and for shuffled input alike: 9 allocations for
+// this fixture's 20 matches over 8 states.
+func TestEvaluateStatesAllocs(t *testing.T) {
+	ev, states := sharedStateFixture(t)
 	shuffled := slices.Clone(states)
 	slices.Reverse(shuffled)
 	for _, in := range []struct {
 		form   string
 		states []*core.State
 	}{{"sorted", states}, {"shuffled", shuffled}} {
-		n := len(ev.EvaluateStates(in.states, classOf)) // warm scratch
-		if n < 10 {
-			t.Fatalf("%s: only %d matches; the feed should produce more", in.form, n)
+		ms := ev.EvaluateStates(in.states, classOf) // warm scratch
+		n, distinct := len(ms), distinctStates(ms)
+		if n < 10 || distinct >= n {
+			t.Fatalf("%s: %d matches over %d states; the feed should match states more than once", in.form, n, distinct)
 		}
 		allocs := testing.AllocsPerRun(100, func() { ev.EvaluateStates(in.states, classOf) })
-		if allocs != float64(1+n) {
-			t.Errorf("%s: %v allocs for %d matches, want %d (result slice + one Frames slice per match)",
-				in.form, allocs, n, 1+n)
+		if allocs != float64(1+distinct) {
+			t.Errorf("%s: %v allocs for %d matches over %d states, want %d (result slice + one Frames slice per state)",
+				in.form, allocs, n, distinct, 1+distinct)
 		}
 	}
 }

@@ -581,7 +581,14 @@ func (p *plan) collectHits(states []*core.State, nclasses int, classOf func(objs
 // is exactly the (query id, object set) order a comparison sort would
 // give. It returns nil when there are no hits and leaves slotCount
 // zeroed.
-func (p *plan) place(states []*core.State) []Match {
+//
+// A state's frame ids are copied once, shifted by offset, on its first
+// hit — the hits of one state are adjacent, because collectHits walks
+// the states in order — and every match of that state shares the copy.
+// Each copy is its own allocation with len == cap, so an append to one
+// match's Frames reallocates instead of writing into another's, and a
+// retained match pins only its own state's frames.
+func (p *plan) place(states []*core.State, offset vr.FrameID) []Match {
 	if len(p.hits) == 0 {
 		return nil
 	}
@@ -592,9 +599,15 @@ func (p *plan) place(states []*core.State) []Match {
 		off += n
 	}
 	out := make([]Match, len(p.hits))
+	var frames []vr.FrameID
+	last := -1
 	for _, h := range p.hits {
 		s := states[h.state]
-		out[p.slotCount[h.slot]] = Match{QueryID: p.subs[h.slot].qid, Objects: s.Objects, Frames: s.Frames()}
+		if int(h.state) != last {
+			frames = s.AppendFrames(make([]vr.FrameID, 0, s.FrameCount()), offset)
+			last = int(h.state)
+		}
+		out[p.slotCount[h.slot]] = Match{QueryID: p.subs[h.slot].qid, Objects: s.Objects, Frames: frames}
 		p.slotCount[h.slot]++
 	}
 	for _, slot := range p.order {

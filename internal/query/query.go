@@ -25,6 +25,13 @@ import (
 // Match is one query hit: in the current window, the MCOS Objects
 // appears in the frames Frames (at least the query's duration many) and
 // its per-class counts satisfy the query.
+//
+// Objects and Frames are shared, read-only, by every match of the same
+// state from one evaluation: Objects is the interned set and Frames one
+// copy of the state's frame ids. Both stay valid after later frames are
+// processed. Frames has len == cap, so appending to it reallocates and
+// leaves the other matches untouched; writing its elements in place
+// would change them too.
 type Match struct {
 	QueryID int
 	Objects objset.Set
@@ -166,9 +173,20 @@ func (e *Evaluator) Classes() map[vr.Class]bool {
 // group's minimum). The order comes from placement, not a comparison
 // sort: states are taken in object-set order (as generators emit them;
 // other input is sorted first) and each match goes to its query's run
-// of a layout ordered by query id. Every match's Frames is a fresh
-// slice the caller owns.
+// of a layout ordered by query id. Each matched state's frame ids are
+// copied once per call: all matches of one state share that Frames
+// slice (and its Objects), read-only, and nothing in the evaluator
+// aliases it, so the matches outlive later calls.
 func (e *Evaluator) EvaluateStates(states []*core.State, classOf func(objset.ID) vr.Class) []Match {
+	return e.EvaluateStatesFrom(states, classOf, 0)
+}
+
+// EvaluateStatesFrom is EvaluateStates for a generator that began at
+// feed frame start: the generator numbers its frames from zero, and
+// every reported frame id is shifted by start, inside the one copy each
+// matched state gets. The engine uses it for window groups added while
+// the feed was running.
+func (e *Evaluator) EvaluateStatesFrom(states []*core.State, classOf func(objset.ID) vr.Class, start vr.FrameID) []Match {
 	if len(e.queries) == 0 || len(states) == 0 {
 		return nil
 	}
@@ -176,7 +194,7 @@ func (e *Evaluator) EvaluateStates(states []*core.State, classOf func(objset.ID)
 	states = p.inOrder(states)
 	p.refreshLabels()
 	p.collectHits(states, e.reg.Len(), classOf)
-	out := p.place(states)
+	out := p.place(states, start)
 	clear(p.sorted)
 	p.sorted = p.sorted[:0]
 	return out

@@ -19,11 +19,17 @@ import (
 // of every network ingest loop) without corrupting past or future
 // results. Run under -race (CI does) this also exercises the pooled
 // merge path's happens-before edges with a concurrent consumer.
+//
+// Matches of one state in one frame share their Frames slice: query 4
+// shares query 1's window and matches every state query 1 does. The
+// harness appends to every held match's Frames, so a shared slice with
+// spare capacity would let one holder's append overwrite another's.
 func TestSessionResultLifetime(t *testing.T) {
 	tr := sessionTrace(t)
 	queries := []tvq.Query{
 		tvq.MustQuery(1, "car >= 1 AND person >= 2", 10, 5),
 		tvq.MustQuery(2, "person >= 3", 25, 10),
+		tvq.MustQuery(4, "car >= 1", 10, 5),
 	}
 
 	// Reference: immutable trace frames through a pristine session with
@@ -126,6 +132,31 @@ func TestSessionResultLifetime(t *testing.T) {
 					}
 				}
 				s.Close() // closes the sink; the consumer finishes
+
+				// Append a distinct marker to every held match's Frames,
+				// then check that each append kept its own marker.
+				var appended [][]tvq.FrameID
+				shared := 0
+				for _, res := range heldResults {
+					for _, r := range res {
+						for i, m := range r.Matches {
+							appended = append(appended, append(m.Frames, -tvq.FrameID(len(appended))-1))
+							for _, o := range r.Matches[:i] {
+								if o.Objects.Equal(m.Objects) {
+									shared++
+								}
+							}
+						}
+					}
+				}
+				for i, a := range appended {
+					if a[len(a)-1] != -tvq.FrameID(i)-1 {
+						t.Fatalf("append to held match %d was overwritten by another match's append: %v", i, a)
+					}
+				}
+				if shared == 0 {
+					t.Fatal("no state matched two queries in one frame; the Frames sharing check is vacuous")
+				}
 
 				var gotHeld []string
 				for _, res := range heldResults {

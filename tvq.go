@@ -73,6 +73,8 @@ type (
 	// Condition is one `class θ n` atom of a query.
 	Condition = cnf.Condition
 	// Match is one query hit: an MCOS and the frames it appears in.
+	// Its Objects and Frames are shared, read-only, by all matches of
+	// the same state from one evaluation.
 	Match = query.Match
 	// Trace is a materialized object stream (the relation VR grouped by
 	// frame).
